@@ -9,7 +9,7 @@
 
 use virtclust_bench::{threads, uop_budget, write_result};
 use virtclust_core::{run_matrix, Configuration};
-use virtclust_sim::{Machine, RunLimits};
+use virtclust_sim::{RunLimits, SimSession};
 use virtclust_steer::OccupancyAware;
 use virtclust_uarch::{ArchReg, MachineConfig, RegionBuilder, SliceTrace};
 use virtclust_workloads::spec2000_points;
@@ -30,7 +30,7 @@ fn sec21_example() -> String {
         ("parallel (stale)", OccupancyAware::parallel()),
     ] {
         let mut trace = SliceTrace::new(&uops);
-        let mut m = Machine::new(&MachineConfig::paper_2cluster());
+        let mut m = SimSession::new(&MachineConfig::paper_2cluster());
         m.place_register(r(1), 1);
         m.place_register(r(2), 0);
         m.place_register(r(3), 0);

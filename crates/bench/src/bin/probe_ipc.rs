@@ -138,16 +138,9 @@ fn json_mode(
         .collect();
     let start = Instant::now();
     let driver = EvalDriver::new(machine).threads(threads());
-    // With resilience/chaos in play, the degraded-completion path: one
-    // erroring/panicking cell is one error row, the process stays alive
-    // and exits 0 with a BatchReport summary on stderr.
-    let (outcomes, metrics) = if resilience.active() {
-        let (outcomes, report) = driver.run_resilient(&jobs, &resilience.opts, |_, _| {});
-        eprintln!("probe_ipc: {}", report.summary());
-        (outcomes, report.metrics)
-    } else {
-        driver.run_with_metrics(&jobs, |_, _| {})
-    };
+    let (outcomes, report) = driver.run_resilient(&jobs, &resilience.opts, |_, _| {});
+    eprintln!("probe_ipc: {}", report.summary());
+    let metrics = report.metrics;
     let wall = start.elapsed();
     if let Some(path) = metrics_out {
         let clusters = machine.num_clusters as u32;
@@ -174,6 +167,8 @@ fn json_mode(
                         outcome.uops_per_sec(),
                     );
                 }
+                // With resilience flags or chaos in play, a failed cell is
+                // one error row and the process still exits 0.
                 Err(e) if resilience.active() => {
                     println!(
                         "{{\"point\":\"{}\",\"scheme\":\"{scheme}\",\"error\":\"{}\"}}",

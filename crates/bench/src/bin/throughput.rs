@@ -4,28 +4,23 @@
 //!
 //! ```text
 //! throughput [--uops N] [--runs R] [--clusters 2|4|8] [--point NAME]
-//!            [--trace FILE] [--stages] [--timeline FILE] [--observe]
+//!            [--stages] [--timeline FILE] [--observe]
 //!            [--every K] [--json-out FILE]
-//!            [--retries N] [--deadline-ms MS] [--chaos SCHEDULE]
 //! ```
 //!
 //! Default mode expands a suite point (`--point`, default `gzip-1`; any
 //! Fig. 5 name, e.g. `mcf` for an idle-heavy memory-bound stream) once
 //! per scheme into an in-memory trace, then runs it `R` times two ways:
 //!
-//! * **fresh** — a new [`Machine`] per run (the pre-refactor cost model:
-//!   every run reallocates caches, predictor tables, the event calendar);
+//! * **fresh** — a new session per run via [`simulate`] (the
+//!   pre-refactor cost model: every run reallocates caches, predictor
+//!   tables, the event calendar);
 //! * **reused** — one [`SimSession`] reset per run, with the trace
 //!   [`rewound`](virtclust_uarch::TraceSource::rewind) instead of rebuilt.
 //!
 //! Both modes must produce bit-identical statistics (checked every run);
-//! the report is the throughput of each and the speedup. `--trace FILE`
-//! instead measures batched replay of a stored trace through
-//! [`EvalDriver`] (`R` × Table 3 cells, readers parsed once and rewound);
-//! with `--retries`/`--deadline-ms`/`--chaos` (or `VIRTCLUST_FAILPOINTS`,
-//! trace mode only) the batch goes through the resilient engine and the
-//! report carries the degraded-completion summary instead of failing on
-//! the first faulted cell.
+//! the report is the throughput of each and the speedup. Batched replay
+//! of stored traces is measured by `trace_replay batch`.
 //!
 //! `--stages` instead reports the per-stage wall-time share of a cycle
 //! (events+wakeup / commit / store-drain / memory / issue / dispatch /
@@ -65,13 +60,10 @@ use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use virtclust_bench::{
-    results_dir, threads, try_resilience_from_args, uop_budget, write_result, Resilience,
-};
-use virtclust_core::{Configuration, EvalDriver, EvalJob};
+use virtclust_bench::{results_dir, uop_budget, write_result};
+use virtclust_core::Configuration;
 use virtclust_obs::{ChromeTrace, MemSink, Shared};
 use virtclust_sim::{simulate, RunLimits, SimSession, SimStats, StageTimers, StallReason};
-use virtclust_trace::TraceReader;
 use virtclust_uarch::{DynUop, MachineConfig, SliceTrace, TraceSource};
 use virtclust_workloads::spec2000_points;
 
@@ -80,15 +72,11 @@ struct Args {
     runs: u64,
     clusters: usize,
     point: String,
-    trace: Option<String>,
     stages: bool,
     timeline: Option<String>,
     every: u64,
     observe: bool,
     json_out: Option<String>,
-    /// Any of `--retries/--deadline-ms/--chaos` was given (trace mode
-    /// only; values are parsed by `try_resilience_from_args`).
-    resilient: bool,
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
@@ -97,13 +85,11 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         runs: 8,
         clusters: 2,
         point: "gzip-1".into(),
-        trace: None,
         stages: false,
         timeline: None,
         every: 1_000,
         observe: false,
         json_out: None,
-        resilient: false,
     };
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
@@ -138,7 +124,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 }
                 args.point = v;
             }
-            "--trace" => args.trace = Some(value("--trace")?),
             "--json-out" => args.json_out = Some(value("--json-out")?),
             "--stages" => args.stages = true,
             "--timeline" => args.timeline = Some(value("--timeline")?),
@@ -149,10 +134,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     .ok()
                     .filter(|&n| n > 0)
                     .ok_or("--every needs a positive integer (cycles)".to_string())?
-            }
-            "--retries" | "--deadline-ms" | "--chaos" => {
-                value(arg)?;
-                args.resilient = true;
             }
             other => return Err(format!("unknown argument {other}")),
         }
@@ -276,7 +257,7 @@ fn point_mode(args: &Args, machine: &MachineConfig) -> Result<String, String> {
     for config in Configuration::table3() {
         let uops = expand_scheme(&config, machine, args.uops, &args.point);
 
-        // Fresh: a new machine (and a new trace view) per run.
+        // Fresh: a new session (and a new trace view) per run.
         let t0 = Instant::now();
         let mut fresh_stats = None;
         for _ in 0..args.runs {
@@ -686,68 +667,8 @@ fn timeline_mode(args: &Args, machine: &MachineConfig, out_path: &str) -> Result
     Ok(report)
 }
 
-fn trace_mode(
-    args: &Args,
-    machine: &MachineConfig,
-    file: &str,
-    resilience: &Resilience,
-) -> Result<String, String> {
-    // Sanity: the file parses and declares a stream.
-    let reader = TraceReader::open(file).map_err(|e| e.to_string())?;
-    let declared = reader.declared_len();
-    drop(reader);
-    let jobs: Vec<EvalJob> = (0..args.runs)
-        .flat_map(|_| {
-            Configuration::table3()
-                .into_iter()
-                .map(|config| EvalJob::Trace {
-                    path: file.into(),
-                    config,
-                    limits: RunLimits::unlimited(),
-                })
-        })
-        .collect();
-    let driver = EvalDriver::new(machine).threads(threads());
-    let t0 = Instant::now();
-    let (outcomes, report) = if resilience.active() {
-        let (outcomes, report) = driver.run_resilient(&jobs, &resilience.opts, |_, _| {});
-        (outcomes, Some(report))
-    } else {
-        (driver.run(&jobs), None)
-    };
-    let wall = t0.elapsed().as_secs_f64();
-    let mut total_uops = 0u64;
-    for outcome in &outcomes {
-        match &outcome.stats {
-            Ok(stats) => total_uops += stats.committed_uops,
-            // Under the resilient engine failed cells are tallied in the
-            // report; without it the first failure is fatal.
-            Err(_) if report.is_some() => {}
-            Err(e) => return Err(e.to_string()),
-        }
-    }
-    let mut out = format!(
-        "batched replay of {file} (declared {declared:?} uops): {} cells, {total_uops} uops \
-         in {wall:.2}s = {:.0} uops/s aggregate (readers parsed once per worker, rewound per cell)\n",
-        outcomes.len(),
-        total_uops as f64 / wall.max(1e-9),
-    );
-    if let Some(report) = &report {
-        let _ = writeln!(out, "resilient engine: {}", report.summary());
-    }
-    Ok(out)
-}
-
 fn run(argv: &[String]) -> Result<(), String> {
     let args = parse_args(argv)?;
-    if args.resilient && args.trace.is_none() {
-        return Err("--retries/--deadline-ms/--chaos only apply to --trace mode".into());
-    }
-    let resilience = if args.trace.is_some() {
-        try_resilience_from_args(argv)?
-    } else {
-        Resilience::default()
-    };
     let machine = virtclust_bench::cluster_preset(args.clusters).expect("validated in parse_args");
     let header = format!(
         "# Simulation throughput ({} clusters, {} point, {} uops/cell, {} runs/scheme)\n\n\
@@ -755,14 +676,11 @@ fn run(argv: &[String]) -> Result<(), String> {
          Committed reference: results/BASELINES.md.\n\n",
         machine.num_clusters, args.point, args.uops, args.runs,
     );
-    let body = match (&args.trace, args.stages, &args.timeline) {
-        (Some(_), _, Some(_)) | (_, true, Some(_)) | (Some(_), true, _) => {
-            return Err("--stages, --trace and --timeline are mutually exclusive".into())
-        }
-        (Some(file), false, None) => trace_mode(&args, &machine, file, &resilience)?,
-        (None, true, None) => stages_mode(&args, &machine)?,
-        (None, false, Some(out)) => timeline_mode(&args, &machine, out)?,
-        (None, false, None) => point_mode(&args, &machine)?,
+    let body = match (args.stages, &args.timeline) {
+        (true, Some(_)) => return Err("--stages and --timeline are mutually exclusive".into()),
+        (true, None) => stages_mode(&args, &machine)?,
+        (false, Some(out)) => timeline_mode(&args, &machine, out)?,
+        (false, None) => point_mode(&args, &machine)?,
     };
     let out = format!("{header}{body}");
     print!("{out}");

@@ -26,12 +26,12 @@
 //! * `batch` feeds (file × Table 3 scheme) cells through the batch engine
 //!   (`core::batch::EvalDriver`): per-worker reusable sessions, each trace
 //!   parsed once and rewound per scheme, completions streamed as they
-//!   land. Applies the same identical-commit check per file — the CI
-//!   batch-engine smoke. With `--retries N`, `--deadline-ms MS` and/or
-//!   `--chaos SCHEDULE` (or `VIRTCLUST_FAILPOINTS`) the batch runs
-//!   through the resilient engine: failed cells print `ERROR` lines, the
-//!   degraded-completion [`BatchReport`] summary is printed at the end,
-//!   and the command still exits 0 — the CI chaos job's
+//!   land, and a `BatchReport` summary printed at the end. Applies the
+//!   same identical-commit check per file — the CI batch-engine smoke and
+//!   the repo's batched-replay harness. With `--retries N`,
+//!   `--deadline-ms MS` and/or `--chaos SCHEDULE` (or
+//!   `VIRTCLUST_FAILPOINTS`) failed cells print `ERROR` lines and the
+//!   command still exits 0 (degraded completion) — the CI chaos job's
 //!   process-stays-alive demonstration;
 //! * `import` reads a one-uop-per-line kernel description, expands it with
 //!   the synthetic dynamic model and records the result, so externally
@@ -45,8 +45,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use virtclust_bench::{threads, try_resilience_from_args, uop_budget};
 use virtclust_core::{
-    record_point, replay_compare, replay_trace, replay_trace_observed, BatchReport, CellOutcome,
-    Configuration, EvalDriver, EvalJob,
+    record_point, replay_compare, replay_trace, replay_trace_observed, CellOutcome, Configuration,
+    EvalDriver, EvalJob,
 };
 use virtclust_obs::{MemSink, Shared};
 use virtclust_sim::{RunLimits, SimStats};
@@ -377,13 +377,11 @@ fn run(argv: &[String]) -> Result<(), String> {
                     }
                 }
             };
-            let driver = EvalDriver::new(&machine).threads(threads());
-            let (outcomes, report): (_, Option<BatchReport>) = if resilience.active() {
-                let (outcomes, report) = driver.run_resilient(&jobs, &resilience.opts, progress);
-                (outcomes, Some(report))
-            } else {
-                (driver.run_streaming(&jobs, progress), None)
-            };
+            let (outcomes, report) = EvalDriver::new(&machine).threads(threads()).run_resilient(
+                &jobs,
+                &resilience.opts,
+                progress,
+            );
             let wall = t0.elapsed();
 
             // Per-file identical-commit check (the `compare` contract).
@@ -401,11 +399,11 @@ fn run(argv: &[String]) -> Result<(), String> {
                             total_uops += stats.committed_uops;
                         }
                         Err(e) => {
-                            // Under the resilient engine failed cells are
-                            // expected (already printed as ERROR lines and
-                            // tallied in the report); without it they are
-                            // fatal.
-                            if report.is_none() {
+                            // With resilience flags or chaos in play failed
+                            // cells are expected (already printed as ERROR
+                            // lines and tallied in the report); without
+                            // them they are fatal.
+                            if !resilience.active() {
                                 failures.push(format!("{}: {e}", job.label(clusters)));
                             }
                         }
@@ -426,9 +424,7 @@ fn run(argv: &[String]) -> Result<(), String> {
                 wall.as_secs_f64(),
                 total_uops as f64 / wall.as_secs_f64().max(1e-9) / 1e3,
             );
-            if let Some(report) = &report {
-                println!("batch: {}", report.summary());
-            }
+            println!("batch: {}", report.summary());
             if failures.is_empty() {
                 Ok(())
             } else {

@@ -1,8 +1,7 @@
 //! # virtclust-bench
 //!
 //! Shared plumbing for the benchmark harness binaries that regenerate every
-//! table and figure of Cai et al., IPDPS 2008 (see `src/bin/`), plus the
-//! Criterion micro-benchmarks under `benches/`.
+//! table and figure of Cai et al., IPDPS 2008 (see `src/bin/`).
 //!
 //! Binaries honour two environment variables:
 //!
@@ -56,7 +55,7 @@ pub fn threads() -> usize {
 }
 
 /// Resilience flags shared by the batch binaries (`probe_ipc --json`,
-/// `throughput --trace`, `trace_replay batch`).
+/// `trace_replay batch`).
 #[derive(Debug, Default)]
 pub struct Resilience {
     /// Retry/deadline options assembled from the flags.
@@ -68,9 +67,8 @@ pub struct Resilience {
 }
 
 impl Resilience {
-    /// Whether the binary should run its batch through `run_resilient`
-    /// and report degraded completion instead of treating the first
-    /// error as fatal.
+    /// Whether a failed cell is an expected, reported outcome (degraded
+    /// completion, exit 0) rather than a fatal error.
     pub fn active(&self) -> bool {
         self.flags || self.env_armed
     }

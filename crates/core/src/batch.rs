@@ -50,7 +50,7 @@
 //!   [`JobError::Cancelled`] without running, and the worker's session
 //!   resets cleanly for whatever comes next.
 //!
-//! `run_matrix` is now one [`EvalDriver::run`] call, so every figure,
+//! `run_matrix` is one [`EvalDriver::run_resilient`] call, so every figure,
 //! metric and replay-comparison path in the repo goes through the batch
 //! engine; the fault machinery costs the fault-free path nothing
 //! measurable (a disarmed failpoint is one relaxed atomic load, and the
@@ -59,7 +59,7 @@
 //! # Job intake
 //!
 //! Jobs reach the workers through a pull-based [`JobSource`]: the
-//! slice-based entry points wrap their `&[EvalJob]` in an internal
+//! slice entry point wraps its `&[EvalJob]` in an internal
 //! atomic-cursor source, and a long-lived front end (the `virtclust-svc`
 //! evaluation service) implements the trait over its priority queues —
 //! both drain through [`EvalDriver::drain_source`], the one worker loop,
@@ -93,11 +93,11 @@ use virtclust_obs::{ChromeTrace, Counter, Log2Hist};
 use virtclust_sim::{CancelToken, RunLimits, SimSession, SimStats, StopCause};
 use virtclust_trace::{TraceError, TraceReader};
 use virtclust_uarch::{MachineConfig, Program};
-use virtclust_workloads::{KernelParams, TraceExpander, TracePoint};
+use virtclust_workloads::{KernelParams, TracePoint};
 
-use crate::experiment::{run_point_on, Configuration};
+use crate::experiment::{run_point_on, simulate_expanded, Configuration};
 use crate::fault;
-use crate::replay::annotate_for_replay;
+use crate::replay::{open_trace, replay_on};
 
 /// One unit of work for the [`EvalDriver`]: a workload crossed with a
 /// steering configuration.
@@ -175,7 +175,7 @@ impl EvalJob {
 
 /// A pull-based job intake: workers call [`pull`](JobSource::pull)
 /// concurrently until it returns `None`, which ends the drain (a source
-/// is drained once, not polled again). The slice entry points use an
+/// is drained once, not polled again). The slice entry point uses an
 /// internal atomic-cursor source over `&[EvalJob]`; a service front end
 /// implements this over its priority queues (blocking in `pull` until a
 /// job arrives or the service shuts down) so socket intake and batch
@@ -237,7 +237,7 @@ pub struct JobDone {
     pub tally: JobTally,
 }
 
-/// The internal source behind the slice-based entry points: an atomic
+/// The internal source behind the slice entry point: an atomic
 /// cursor over a borrowed job slice — exactly the pre-service drain
 /// order, so slice batches stay deterministic for any worker count.
 struct SliceSource<'a> {
@@ -454,11 +454,10 @@ impl ResilientOptions {
 /// stopped it) plus the cell's wall-clock time on its worker.
 #[derive(Debug)]
 pub struct CellOutcome {
-    /// Simulation statistics, or why the job failed. Under
-    /// [`EvalDriver::run`]/[`run_with_metrics`](EvalDriver::run_with_metrics)
-    /// `Point`/`Kernel` jobs cannot fail (only trace jobs can); under
-    /// [`run_resilient`](EvalDriver::run_resilient) any job can resolve
-    /// to a deadline, cancellation or (isolated) panic.
+    /// Simulation statistics, or why the job failed. Without failpoints,
+    /// deadlines or cancellation, `Point`/`Kernel` jobs cannot fail (only
+    /// trace jobs can); with them any job can resolve to a deadline,
+    /// cancellation or (isolated) panic.
     pub stats: Result<SimStats, JobError>,
     /// Wall-clock time the cell spent on its worker thread (includes
     /// program generation / compiler pass / trace rewind and every retry
@@ -499,7 +498,7 @@ pub struct JobMetrics {
     pub done_at: Duration,
 }
 
-/// Batch-level telemetry from [`EvalDriver::run_with_metrics`]: per-job
+/// Batch-level telemetry in a [`BatchReport`]: per-job
 /// spans, per-worker utilization, and the job-latency distribution.
 #[derive(Debug)]
 pub struct BatchMetrics {
@@ -704,52 +703,27 @@ impl EvalDriver {
         self
     }
 
-    /// Run every job to completion, returning outcomes in job order.
-    pub fn run(&self, jobs: &[EvalJob]) -> Vec<CellOutcome> {
-        self.run_streaming(jobs, |_, _| {})
-    }
-
-    /// Run every job, invoking `on_cell(index, outcome)` from the worker
-    /// thread as each cell completes (completion order is scheduling-
-    /// dependent; the returned vector is always in job order and its
-    /// statistics are deterministic for any thread count). A panicking
-    /// callback does not disturb the batch: every job still runs, and the
-    /// first panic is rethrown once after the workers join.
-    pub fn run_streaming(
-        &self,
-        jobs: &[EvalJob],
-        on_cell: impl Fn(usize, &CellOutcome) + Sync,
-    ) -> Vec<CellOutcome> {
-        self.run_with_metrics(jobs, on_cell).0
-    }
-
-    /// [`EvalDriver::run_streaming`] plus batch telemetry: per-job
-    /// queue-wait/run spans, which worker ran each job, per-worker
-    /// utilization, and success/failure-split job-latency histograms. The
-    /// simulation outcomes are identical to the other entry points (all
-    /// of them run through here); the metrics cost per job is two clock
-    /// reads.
-    pub fn run_with_metrics(
-        &self,
-        jobs: &[EvalJob],
-        on_cell: impl Fn(usize, &CellOutcome) + Sync,
-    ) -> (Vec<CellOutcome>, BatchMetrics) {
-        let (outcomes, metrics, _) = self.run_engine(jobs, None, &on_cell);
-        (outcomes, metrics)
-    }
-
-    /// The degraded-completion entry point: run every job under `opts`'s
-    /// retry policy, per-job deadline and cancellation source, and report
-    /// what it took. One panicking/erroring/hung cell costs exactly its
-    /// own outcome — the rest of the batch completes normally, with
-    /// statistics bit-identical to a fault-free run (enforced by test).
+    /// Run every job under `opts`'s retry policy, per-job deadline and
+    /// cancellation source, returning outcomes in job order plus a report
+    /// of what it took (per-job telemetry included). The one slice entry
+    /// point: `ResilientOptions::new()` is the plain fault-free batch.
+    ///
+    /// `on_cell(index, outcome)` runs on the worker thread as each cell
+    /// completes (completion order is scheduling-dependent; the returned
+    /// vector is always in job order and its statistics are deterministic
+    /// for any thread count). A panicking callback does not disturb the
+    /// batch: every job still runs, and the first panic is rethrown once
+    /// after the workers join. One panicking/erroring/hung cell costs
+    /// exactly its own outcome — the rest of the batch completes normally,
+    /// with statistics bit-identical to a fault-free run (enforced by
+    /// test).
     pub fn run_resilient(
         &self,
         jobs: &[EvalJob],
         opts: &ResilientOptions,
         on_cell: impl Fn(usize, &CellOutcome) + Sync,
     ) -> (Vec<CellOutcome>, BatchReport) {
-        let (outcomes, metrics, tallies) = self.run_engine(jobs, Some(opts), &on_cell);
+        let (outcomes, metrics, tallies) = self.run_engine(jobs, opts, &on_cell);
         let report = BatchReport::build(&outcomes, &tallies, metrics);
         (outcomes, report)
     }
@@ -758,7 +732,7 @@ impl EvalDriver {
     /// pool, have every worker [`pull`](JobSource::pull) until the source
     /// returns `None`, and deliver each finished job to `on_done` from
     /// the worker thread that ran it. This is **the** drain loop — the
-    /// slice entry points run through it via an internal cursor source,
+    /// slice entry point runs through it via an internal cursor source,
     /// and the evaluation service points its scheduler at it directly.
     ///
     /// Per-job interrupt overrides on the [`SourcedJob`] compose with
@@ -766,7 +740,7 @@ impl EvalDriver {
     /// cancellation is still honoured before the job starts), and the
     /// effective deadline is the smaller of the two. `on_done` must not
     /// panic: a panic there kills its worker and resurfaces when the pool
-    /// joins (the slice entry points wrap their user callback in
+    /// joins (the slice entry point wraps its user callback in
     /// `catch_unwind` for exactly this reason).
     pub fn drain_source(
         &self,
@@ -818,13 +792,13 @@ impl EvalDriver {
         });
     }
 
-    /// The slice-based engine every batch entry point drains through: a
-    /// cursor source over `jobs`, outcome slots filled as cells finish,
-    /// metrics assembled in job order.
+    /// The slice engine behind [`EvalDriver::run_resilient`]: a cursor
+    /// source over `jobs`, outcome slots filled as cells finish, metrics
+    /// assembled in job order.
     fn run_engine(
         &self,
         jobs: &[EvalJob],
-        opts: Option<&ResilientOptions>,
+        opts: &ResilientOptions,
         on_cell: &(dyn Fn(usize, &CellOutcome) + Sync),
     ) -> (Vec<CellOutcome>, BatchMetrics, Vec<JobTally>) {
         let t0 = Instant::now();
@@ -835,8 +809,6 @@ impl EvalDriver {
             self.threads
         }
         .min(n_jobs.max(1));
-        let default_opts = ResilientOptions::default();
-        let opts = opts.unwrap_or(&default_opts);
 
         // Outcome slots behind one mutex of plain writes. Poisoning is
         // survivable by construction: the critical section cannot panic,
@@ -1107,17 +1079,15 @@ impl<'m> Worker<'m> {
                 seed,
                 config,
                 uops,
-            } => {
-                let program = annotate_for_replay(program.clone(), config, self.machine);
-                let mut trace = TraceExpander::new(&program, params, *seed);
-                let mut policy = config.make_policy();
-                Ok(self.session.simulate(
-                    self.machine,
-                    &mut trace,
-                    policy.as_mut(),
-                    &RunLimits::uops(*uops),
-                ))
-            }
+            } => Ok(simulate_expanded(
+                &mut self.session,
+                program.clone(),
+                params,
+                *seed,
+                config,
+                self.machine,
+                *uops,
+            )),
             EvalJob::Trace {
                 path,
                 config,
@@ -1126,33 +1096,19 @@ impl<'m> Worker<'m> {
                 let cached = match self.traces.entry(path.clone()) {
                     std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
                     std::collections::hash_map::Entry::Vacant(e) => {
-                        fault::fire(fault::TRACE_OPEN)?;
-                        let reader = TraceReader::open(path)?;
+                        let reader = open_trace(path)?;
                         let pristine = reader.program().clone();
                         e.insert(CachedTrace { reader, pristine })
                     }
                 };
-                // The `replay_trace` preparation, over the already-parsed,
-                // rewound reader.
-                let program = annotate_for_replay(cached.pristine.clone(), config, self.machine);
-                fault::fire(fault::TRACE_SET_PROGRAM)?;
-                cached.reader.set_program(program)?;
-                fault::fire(fault::TRACE_REWIND)?;
-                cached.reader.rewind()?;
-                let mut policy = config.make_policy();
-                let stats = self.session.simulate(
-                    self.machine,
+                replay_on(
+                    &mut self.session,
                     &mut cached.reader,
-                    policy.as_mut(),
+                    cached.pristine.clone(),
+                    config,
+                    self.machine,
                     limits,
-                );
-                // Errors inside the simulation loop surface as a silently-
-                // ended trace; re-raise them so a corrupt file can never
-                // masquerade as a short run.
-                if let Some(err) = cached.reader.take_error() {
-                    return Err(err);
-                }
-                Ok(stats)
+                )
             }
         }
     }
@@ -1168,6 +1124,7 @@ mod tests {
     use virtclust_trace::Codec;
     use virtclust_uarch::{ArchReg, RegionBuilder};
     use virtclust_workloads::spec2000_points;
+    use virtclust_workloads::TraceExpander;
 
     fn point(name: &str) -> TracePoint {
         spec2000_points()
@@ -1184,6 +1141,14 @@ mod tests {
         FaultSchedule::new().with(site, FaultSpec { kind, trigger })
     }
 
+    /// A plain fault-free batch on `threads` workers.
+    fn run(machine: &MachineConfig, threads: usize, jobs: &[EvalJob]) -> Vec<CellOutcome> {
+        EvalDriver::new(machine)
+            .threads(threads)
+            .run_resilient(jobs, &ResilientOptions::new(), |_, _| {})
+            .0
+    }
+
     #[test]
     fn point_jobs_match_run_point_bit_for_bit() {
         let machine = MachineConfig::paper_2cluster();
@@ -1196,7 +1161,7 @@ mod tests {
                 uops: 1_500,
             })
             .collect();
-        let outcomes = EvalDriver::new(&machine).threads(1).run(&jobs);
+        let outcomes = run(&machine, 1, &jobs);
         for (job, outcome) in jobs.iter().zip(&outcomes) {
             let live = run_point(&p, job.config(), &machine, 1_500);
             assert_eq!(&live, outcome.stats.as_ref().unwrap(), "{}", job.label(2));
@@ -1219,7 +1184,7 @@ mod tests {
                 limits: RunLimits::unlimited(),
             })
             .collect();
-        let outcomes = EvalDriver::new(&machine).threads(1).run(&jobs);
+        let outcomes = run(&machine, 1, &jobs);
         for (job, outcome) in jobs.iter().zip(&outcomes) {
             let direct =
                 replay_trace(&path, job.config(), &machine, &RunLimits::unlimited()).unwrap();
@@ -1250,7 +1215,7 @@ mod tests {
             config,
             uops: 1_200,
         };
-        let outcomes = EvalDriver::new(&machine).run(std::slice::from_ref(&job));
+        let outcomes = run(&machine, 0, std::slice::from_ref(&job));
         let manual = {
             let mut annotated = program.clone();
             annotated.clear_hints();
@@ -1299,9 +1264,7 @@ mod tests {
             });
         }
         let stats_of = |threads: usize| -> Vec<SimStats> {
-            EvalDriver::new(&machine)
-                .threads(threads)
-                .run(&jobs)
+            run(&machine, threads, &jobs)
                 .into_iter()
                 .map(|o| o.stats.expect("readable"))
                 .collect()
@@ -1326,12 +1289,14 @@ mod tests {
             })
             .collect();
         let seen = std::sync::Mutex::new(vec![0u32; jobs.len()]);
-        let outcomes = EvalDriver::new(&machine)
-            .threads(2)
-            .run_streaming(&jobs, |i, outcome| {
+        let (outcomes, _) = EvalDriver::new(&machine).threads(2).run_resilient(
+            &jobs,
+            &ResilientOptions::new(),
+            |i, outcome| {
                 assert!(outcome.stats.is_ok());
                 seen.lock().unwrap()[i] += 1;
-            });
+            },
+        );
         assert_eq!(outcomes.len(), jobs.len());
         assert!(seen.lock().unwrap().iter().all(|&c| c == 1));
         // Per-cell throughput is a positive finite number.
@@ -1339,7 +1304,7 @@ mod tests {
     }
 
     #[test]
-    fn run_with_metrics_matches_run_and_accounts_every_job() {
+    fn batch_metrics_account_every_job() {
         let machine = MachineConfig::paper_2cluster();
         let jobs: Vec<EvalJob> = Configuration::table3()
             .into_iter()
@@ -1349,12 +1314,12 @@ mod tests {
                 uops: 500,
             })
             .collect();
-        let driver = EvalDriver::new(&machine).threads(2);
-        let plain = driver.run(&jobs);
-        let (outcomes, metrics) = driver.run_with_metrics(&jobs, |_, _| {});
-        for (a, b) in plain.iter().zip(&outcomes) {
-            assert_eq!(a.stats.as_ref().unwrap(), b.stats.as_ref().unwrap());
-        }
+        let (_, report) = EvalDriver::new(&machine).threads(2).run_resilient(
+            &jobs,
+            &ResilientOptions::new(),
+            |_, _| {},
+        );
+        let metrics = report.metrics;
 
         assert_eq!(metrics.workers, 2);
         assert_eq!(metrics.jobs.len(), jobs.len());
@@ -1385,9 +1350,12 @@ mod tests {
                 uops: 300,
             })
             .collect();
-        let (_, metrics) = EvalDriver::new(&machine)
-            .threads(2)
-            .run_with_metrics(&jobs, |_, _| {});
+        let (_, report) = EvalDriver::new(&machine).threads(2).run_resilient(
+            &jobs,
+            &ResilientOptions::new(),
+            |_, _| {},
+        );
+        let metrics = report.metrics;
         let labels: Vec<String> = jobs.iter().map(|j| j.label(2)).collect();
         let trace = metrics.chrome_trace(&labels);
         // One process_name + per-worker (name + sort) + one slice per job.
@@ -1412,7 +1380,7 @@ mod tests {
                 uops: 300,
             },
         ];
-        let outcomes = EvalDriver::new(&machine).threads(1).run(&jobs);
+        let outcomes = run(&machine, 1, &jobs);
         assert!(outcomes[0].stats.is_err());
         assert_eq!(
             outcomes[1].stats.as_ref().unwrap().committed_uops,
@@ -1436,9 +1404,12 @@ mod tests {
                 uops: 400,
             });
         }
-        let (outcomes, metrics) = EvalDriver::new(&machine)
-            .threads(2)
-            .run_with_metrics(&jobs, |_, _| {});
+        let (outcomes, report) = EvalDriver::new(&machine).threads(2).run_resilient(
+            &jobs,
+            &ResilientOptions::new(),
+            |_, _| {},
+        );
+        let metrics = report.metrics;
         let ok = outcomes.iter().filter(|o| o.stats.is_ok()).count();
         assert_eq!(ok, jobs.len() - 1);
         // The p99-bearing histogram is defined over successes only; the
@@ -1499,7 +1470,7 @@ mod tests {
             })
             .collect();
         // Fault-free reference first (the registry is disarmed here).
-        let clean = EvalDriver::new(&machine).threads(1).run(&jobs);
+        let clean = run(&machine, 1, &jobs);
         let _faults = ScopedFaults::arm(&sched(fault::JOB_RUN, FaultKind::Panic, Trigger::Nth(2)));
         let (outcomes, report) = EvalDriver::new(&machine).threads(1).run_resilient(
             &jobs,
@@ -1729,7 +1700,7 @@ mod tests {
     #[test]
     fn drain_source_matches_the_slice_engine_bit_for_bit() {
         // A hand-rolled pull source must produce exactly what the slice
-        // entry points produce — they are the same drain loop.
+        // entry point produces — they are the same drain loop.
         let machine = MachineConfig::paper_2cluster();
         let jobs: Vec<EvalJob> = Configuration::table3()
             .into_iter()
@@ -1739,7 +1710,7 @@ mod tests {
                 uops: 500,
             })
             .collect();
-        let reference = EvalDriver::new(&machine).threads(2).run(&jobs);
+        let reference = run(&machine, 2, &jobs);
 
         struct Queue<'a> {
             jobs: &'a [EvalJob],
@@ -1873,12 +1844,14 @@ mod tests {
         let calls = AtomicUsize::new(0);
         let n = jobs.len();
         let result = catch_unwind(AssertUnwindSafe(|| {
-            EvalDriver::new(&machine)
-                .threads(2)
-                .run_streaming(&jobs, |_, _| {
+            EvalDriver::new(&machine).threads(2).run_resilient(
+                &jobs,
+                &ResilientOptions::new(),
+                |_, _| {
                     calls.fetch_add(1, Ordering::SeqCst);
                     panic!("callback exploded");
-                })
+                },
+            )
         }));
         let payload = result.expect_err("the first callback panic resurfaces");
         assert_eq!(panic_message(payload.as_ref()), "callback exploded");

@@ -4,8 +4,8 @@
 use virtclust_compiler::{SoftwarePass, VcConfig};
 use virtclust_sim::{RunLimits, SimSession, SimStats, SteeringPolicy};
 use virtclust_steer::{ModN, OccupancyAware, OneCluster, StaticFollow, VcMapper};
-use virtclust_uarch::MachineConfig;
-use virtclust_workloads::TracePoint;
+use virtclust_uarch::{MachineConfig, Program};
+use virtclust_workloads::{KernelParams, TraceExpander, TracePoint};
 
 /// A steering configuration (paper Table 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,9 +107,9 @@ pub fn run_point(
 }
 
 /// [`run_point`] on a caller-provided session — the batch engine's path.
-/// This is the single definition of what a point cell does; `run_point`
-/// is this over a fresh session, and sessions are bit-identical to fresh
-/// machines by contract, so the two entry points cannot diverge.
+/// `run_point` is this over a fresh session, and sessions are
+/// bit-identical to fresh machines by contract, so the two entry points
+/// cannot diverge.
 pub fn run_point_on(
     session: &mut SimSession,
     point: &TracePoint,
@@ -117,13 +117,43 @@ pub fn run_point_on(
     machine: &MachineConfig,
     uops: u64,
 ) -> SimStats {
-    let mut program = point.build_program();
-    config
-        .software_pass(machine.num_clusters as u32)
-        .apply(&mut program, &machine.latencies);
-    let mut trace = point.expander(&program);
+    simulate_expanded(
+        session,
+        point.build_program(),
+        &point.params,
+        point.trace_seed,
+        config,
+        machine,
+        uops,
+    )
+}
+
+/// The one definition of an expanded cell, shared by suite points and
+/// imported kernels: annotate `program` for `config`, expand it with the
+/// synthetic dynamic model (`params`, `seed`) and simulate `uops`
+/// micro-ops on `session`.
+pub(crate) fn simulate_expanded(
+    session: &mut SimSession,
+    mut program: Program,
+    params: &KernelParams,
+    seed: u64,
+    config: &Configuration,
+    machine: &MachineConfig,
+    uops: u64,
+) -> SimStats {
+    annotate(&mut program, config, machine);
+    let mut trace = TraceExpander::new(&program, params, seed);
     let mut policy = config.make_policy();
     session.simulate(machine, &mut trace, policy.as_mut(), &RunLimits::uops(uops))
+}
+
+/// The software half of every job: clear any stale steering hints and run
+/// `config`'s compiler pass for `machine`, in place.
+pub(crate) fn annotate(program: &mut Program, config: &Configuration, machine: &MachineConfig) {
+    program.clear_hints();
+    config
+        .software_pass(machine.num_clusters as u32)
+        .apply(program, &machine.latencies);
 }
 
 #[cfg(test)]

@@ -37,7 +37,7 @@ use virtclust_trace::TraceError;
 
 /// Failpoint site: opening (and parsing) a trace file.
 pub const TRACE_OPEN: &str = "trace.open";
-/// Failpoint site: rewinding a cached trace reader between cells.
+/// Failpoint site: rewinding a trace reader before a replayed cell.
 pub const TRACE_REWIND: &str = "trace.rewind";
 /// Failpoint site: swapping the annotated program into a trace reader.
 pub const TRACE_SET_PROGRAM: &str = "trace.set_program";

@@ -42,8 +42,6 @@ pub use batch::{
 pub use experiment::{run_point, run_point_on, Configuration};
 pub use figures::{fig5, fig6, fig7, Fig5Data, Fig6Data, Fig7Data};
 pub use metrics::{slowdown_pct, suite_weighted_average, PointOutcome};
-pub use replay::{
-    record_point, replay_compare, replay_reader, replay_trace, replay_trace_observed,
-};
+pub use replay::{record_point, replay_compare, replay_trace, replay_trace_observed};
 pub use runner::{run_matrix, EvalMatrix};
 pub use virtclust_sim::{CancelToken, StopCause};

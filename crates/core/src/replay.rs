@@ -35,16 +35,18 @@
 //! # std::fs::remove_file(&path).ok();
 //! ```
 
-use std::io::{BufRead, Seek};
+use std::fs::File;
+use std::io::BufReader;
 use std::path::Path;
 
 use virtclust_obs::ObsSink;
-use virtclust_sim::{simulate, RunLimits, SimSession, SimStats};
+use virtclust_sim::{RunLimits, SimSession, SimStats};
 use virtclust_trace::{Codec, Result, TraceReader, TraceWriter};
 use virtclust_uarch::{MachineConfig, Program};
 use virtclust_workloads::TracePoint;
 
-use crate::experiment::Configuration;
+use crate::experiment::{annotate, Configuration};
+use crate::fault;
 
 // Referenced by the module docs.
 #[allow(unused_imports)]
@@ -84,28 +86,7 @@ pub fn replay_trace(
     machine: &MachineConfig,
     limits: &RunLimits,
 ) -> Result<SimStats> {
-    crate::fault::fire(crate::fault::TRACE_OPEN)?;
-    replay_reader(TraceReader::open(path)?, config, machine, limits)
-}
-
-/// [`replay_trace`] over an already-open reader (any seekable byte
-/// source).
-pub fn replay_reader<R: BufRead + Seek>(
-    mut reader: TraceReader<R>,
-    config: &Configuration,
-    machine: &MachineConfig,
-    limits: &RunLimits,
-) -> Result<SimStats> {
-    let program = annotate_for_replay(reader.program().clone(), config, machine);
-    reader.set_program(program)?;
-    let mut policy = config.make_policy();
-    let stats = simulate(machine, &mut reader, policy.as_mut(), limits);
-    // Errors inside the simulation loop surface as a silently-ended trace;
-    // re-raise them so a corrupt file can never masquerade as a short run.
-    if let Some(err) = reader.take_error() {
-        return Err(err);
-    }
-    Ok(stats)
+    replay_file(&mut SimSession::new(machine), path, config, machine, limits)
 }
 
 /// [`replay_trace`] with an interval observer attached: replays the
@@ -122,34 +103,55 @@ pub fn replay_trace_observed(
     every: u64,
     sink: Box<dyn ObsSink<SimStats> + Send>,
 ) -> Result<SimStats> {
-    let mut reader = TraceReader::open(path)?;
-    let program = annotate_for_replay(reader.program().clone(), config, machine);
-    reader.set_program(program)?;
-    let mut policy = config.make_policy();
     let mut session = SimSession::new(machine);
     session.attach_observer(every, sink);
-    let stats = session.run(&mut reader, policy.as_mut(), limits);
+    replay_file(&mut session, path, config, machine, limits)
+}
+
+fn replay_file(
+    session: &mut SimSession,
+    path: impl AsRef<Path>,
+    config: &Configuration,
+    machine: &MachineConfig,
+    limits: &RunLimits,
+) -> Result<SimStats> {
+    let mut reader = open_trace(path)?;
+    let program = reader.program().clone();
+    replay_on(session, &mut reader, program, config, machine, limits)
+}
+
+/// Open a stored trace behind the `trace.open` failpoint.
+pub(crate) fn open_trace(path: impl AsRef<Path>) -> Result<TraceReader<BufReader<File>>> {
+    fault::fire(fault::TRACE_OPEN)?;
+    TraceReader::open(path)
+}
+
+/// The one definition of a replayed cell, shared by [`replay_trace`],
+/// [`replay_trace_observed`] and the batch engine's cached readers:
+/// annotate `program` (the trace's pristine embedded program) for
+/// `config`, swap it into `reader`, rewind the stream, simulate on
+/// `session`, and re-raise any error the reader hit mid-stream.
+pub(crate) fn replay_on(
+    session: &mut SimSession,
+    reader: &mut TraceReader<BufReader<File>>,
+    mut program: Program,
+    config: &Configuration,
+    machine: &MachineConfig,
+    limits: &RunLimits,
+) -> Result<SimStats> {
+    annotate(&mut program, config, machine);
+    fault::fire(fault::TRACE_SET_PROGRAM)?;
+    reader.set_program(program)?;
+    fault::fire(fault::TRACE_REWIND)?;
+    reader.rewind()?;
+    let mut policy = config.make_policy();
+    let stats = session.simulate(machine, reader, policy.as_mut(), limits);
+    // Errors inside the simulation loop surface as a silently-ended trace;
+    // re-raise them so a corrupt file can never masquerade as a short run.
     if let Some(err) = reader.take_error() {
         return Err(err);
     }
     Ok(stats)
-}
-
-/// The replay preparation step, shared with the batch engine
-/// ([`crate::batch::EvalDriver`]): re-annotate a trace's (or kernel's)
-/// program for `config` by clearing stale hints and running the
-/// configuration's compiler pass — exactly what [`run_point`] does to a
-/// freshly generated program.
-pub(crate) fn annotate_for_replay(
-    mut program: Program,
-    config: &Configuration,
-    machine: &MachineConfig,
-) -> Program {
-    program.clear_hints();
-    config
-        .software_pass(machine.num_clusters as u32)
-        .apply(&mut program, &machine.latencies);
-    program
 }
 
 /// Replay a stored trace under several configurations, returning

@@ -11,7 +11,7 @@ use virtclust_sim::SimStats;
 use virtclust_uarch::MachineConfig;
 use virtclust_workloads::TracePoint;
 
-use crate::batch::{EvalDriver, EvalJob};
+use crate::batch::{EvalDriver, EvalJob, ResilientOptions};
 use crate::experiment::Configuration;
 
 // Referenced by the docs below.
@@ -67,7 +67,11 @@ pub fn run_matrix(
             })
         })
         .collect();
-    let outcomes = EvalDriver::new(machine).threads(threads).run(&jobs);
+    let (outcomes, _) = EvalDriver::new(machine).threads(threads).run_resilient(
+        &jobs,
+        &ResilientOptions::new(),
+        |_, _| {},
+    );
 
     let mut stats = Vec::with_capacity(points.len());
     let mut it = outcomes.into_iter();

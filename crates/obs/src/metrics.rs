@@ -158,6 +158,16 @@ impl Log2Hist {
         63 - v.max(1).leading_zeros() as usize
     }
 
+    /// Smallest value bucket `i` holds: `2^i`, except 0 for bucket 0
+    /// (which holds both 0 and 1).
+    fn lower_bound(i: usize) -> u64 {
+        if i == 0 {
+            0
+        } else {
+            1u64 << i
+        }
+    }
+
     /// Record one observation.
     pub fn record(&mut self, v: u64) {
         self.buckets[Self::bucket_of(v)] += 1;
@@ -224,7 +234,7 @@ impl Log2Hist {
         for (i, &n) in self.buckets.iter().enumerate() {
             seen += n;
             if seen >= rank {
-                return 1u64 << i;
+                return Self::lower_bound(i);
             }
         }
         self.max
@@ -236,7 +246,7 @@ impl Log2Hist {
             .iter()
             .enumerate()
             .filter(|(_, &n)| n > 0)
-            .map(|(i, &n)| (1u64 << i, n))
+            .map(|(i, &n)| (Self::lower_bound(i), n))
             .collect()
     }
 }
@@ -329,6 +339,23 @@ mod tests {
     }
 
     #[test]
+    fn bucket_zero_reports_zero_as_its_lower_bound() {
+        // Bucket 0 holds 0 and 1: a histogram of zeros must not report 1.
+        let mut h = Log2Hist::new();
+        for _ in 0..10 {
+            h.record(0);
+        }
+        assert_eq!(h.max(), 0);
+        assert_eq!(h.percentile(0.5), 0);
+        assert_eq!(h.percentile(1.0), 0);
+        assert_eq!(h.nonzero_buckets(), vec![(0, 10)]);
+        h.record(1);
+        h.record(2);
+        assert_eq!(h.nonzero_buckets(), vec![(0, 11), (2, 1)]);
+        assert_eq!(h.percentile(1.0), 2);
+    }
+
+    #[test]
     fn merge_equals_recording_into_one() {
         let mut a = Log2Hist::new();
         let mut b = Log2Hist::new();
@@ -351,6 +378,7 @@ mod tests {
         h.record(1);
         h.record(1);
         h.record(600);
-        assert_eq!(h.nonzero_buckets(), vec![(1, 2), (512, 1)]);
+        // Bucket 0 holds 0 and 1, so its lower bound is 0.
+        assert_eq!(h.nonzero_buckets(), vec![(0, 2), (512, 1)]);
     }
 }

@@ -59,7 +59,7 @@ pub mod value;
 pub use cache::{Cache, LoadPath, MemorySystem};
 pub use cancel::{CancelGroup, CancelToken, StopCause};
 pub use lsq::{LoadCheck, Lsq};
-pub use machine::{simulate, Machine, RunLimits};
+pub use machine::{simulate, RunLimits};
 pub use predictor::{Gshare, LocalHistory, TraceCache};
 pub use queues::{CopyOp, CopySlab, IssueQueue, LinkArbiter};
 pub use session::{SimSession, SkipDiag, StageTimers};

@@ -17,18 +17,17 @@
 //!        └──────────────────────────────┘
 //! ```
 //!
-//! One [`Machine::step`] is one cycle — or, when the machine is provably
-//! idle, one *span* of cycles skipped in O(1) with bit-identical
-//! statistics (see [`SimSession::step`]). Stage order within a cycle
-//! (standard reverse-pipeline update): completion events → commit → store
-//! drain → memory stage → issue → dispatch/steer → fetch.
+//! One [`SimSession::step`] is one cycle — or, when the machine is
+//! provably idle, one *span* of cycles skipped in O(1) with bit-identical
+//! statistics. Stage order within a cycle (standard reverse-pipeline
+//! update): completion events → commit → store drain → memory stage →
+//! issue → dispatch/steer → fetch.
 //!
 //! The pipeline itself lives in [`crate::session::SimSession`], which owns
-//! all heap state and can be reset and reused across runs. [`Machine`] is
-//! the single-run view over a private session: same behaviour, simpler
-//! lifecycle. Batch workloads (many cells, one process) should hold a
-//! `SimSession` and call [`crate::SimSession::simulate`] per cell instead
-//! of building a `Machine` per cell.
+//! all heap state and can be reset and reused across runs. This module
+//! holds the run-length limits and [`simulate`], the one-off run over a
+//! fresh session. Batch workloads (many cells, one process) should hold a
+//! `SimSession` and call [`SimSession::simulate`] per cell instead.
 
 use virtclust_uarch::{MachineConfig, TraceSource};
 
@@ -57,87 +56,6 @@ impl RunLimits {
     /// No limits: run the whole trace.
     pub fn unlimited() -> Self {
         RunLimits::default()
-    }
-}
-
-/// The simulated machine: a single-run view over a fresh [`SimSession`].
-/// Most users call [`simulate`]; the struct is public so tests and tools
-/// can single-step.
-pub struct Machine {
-    session: SimSession,
-}
-
-impl Machine {
-    /// Build a machine from a validated configuration.
-    pub fn new(cfg: &MachineConfig) -> Self {
-        Machine {
-            session: SimSession::new(cfg),
-        }
-    }
-
-    /// Current cycle.
-    pub fn cycle(&self) -> u64 {
-        self.session.cycle()
-    }
-
-    /// Re-home the architected value of `reg` so it is resident in exactly
-    /// one `cluster` (instead of the default "ready everywhere"). Used to
-    /// set up steering scenarios such as the paper's Sec. 2.1 example.
-    /// Call before the first [`Machine::step`].
-    pub fn place_register(&mut self, reg: virtclust_uarch::ArchReg, cluster: u8) {
-        self.session.place_register(reg, cluster);
-    }
-
-    /// Statistics so far.
-    pub fn stats(&self) -> &SimStats {
-        self.session.stats()
-    }
-
-    /// True when the trace is exhausted and the pipeline fully drained.
-    pub fn done(&self) -> bool {
-        self.session.done()
-    }
-
-    /// Whether event-driven idle-cycle skipping is active (see
-    /// [`SimSession::set_cycle_skipping`]).
-    pub fn cycle_skipping(&self) -> bool {
-        self.session.cycle_skipping()
-    }
-
-    /// Force idle-cycle skipping on or off, overriding the
-    /// `VIRTCLUST_NO_SKIP` process default. Statistics are bit-identical
-    /// either way; only the [`Machine::cycle`] stride per [`Machine::step`]
-    /// differs.
-    pub fn set_cycle_skipping(&mut self, enabled: bool) {
-        self.session.set_cycle_skipping(enabled);
-    }
-
-    /// Advance the machine by one cycle — or across a provably idle span
-    /// in one call (see [`SimSession::step`]).
-    pub fn step(
-        &mut self,
-        trace: &mut dyn TraceSource,
-        policy: &mut dyn SteeringPolicy,
-        limits: &RunLimits,
-    ) {
-        self.session.step(trace, policy, limits);
-    }
-
-    /// Run to completion (or until a limit triggers), consuming the machine
-    /// and returning the statistics.
-    pub fn run(
-        mut self,
-        trace: &mut dyn TraceSource,
-        policy: &mut dyn SteeringPolicy,
-        limits: &RunLimits,
-    ) -> SimStats {
-        self.session.run(trace, policy, limits)
-    }
-
-    /// Recover the underlying session (e.g. to keep reusing its
-    /// allocations after a single-run start).
-    pub fn into_session(self) -> SimSession {
-        self.session
     }
 }
 
@@ -453,26 +371,24 @@ mod tests {
     }
 
     #[test]
-    fn machine_single_step_then_into_session_reuse() {
+    fn single_stepped_session_is_reusable_for_a_full_run() {
         let region = alu_chain_region(4);
         let uops = expand(&region, 30);
         let cfg = MachineConfig::default();
-        // Single-step part of the run through the Machine view… (a step
-        // advances at least one cycle; idle-span skipping may cover more)
-        let mut machine = Machine::new(&cfg);
+        // Single-step part of a run… (a step advances at least one cycle;
+        // idle-span skipping may cover more)
+        let mut session = SimSession::new(&cfg);
         let mut trace = SliceTrace::new(&uops);
         let mut policy = ToZero;
         for _ in 0..10 {
-            machine.step(&mut trace, &mut policy, &RunLimits::unlimited());
+            session.step(&mut trace, &mut policy, &RunLimits::unlimited());
         }
-        assert!(machine.cycle() >= 10);
-        machine.set_cycle_skipping(false);
-        let at = machine.cycle();
-        machine.step(&mut trace, &mut policy, &RunLimits::unlimited());
-        assert_eq!(machine.cycle(), at + 1, "strict stepping when forced off");
-        // …then recover the session and reuse its allocations for a full
-        // fresh run.
-        let mut session = machine.into_session();
+        assert!(session.cycle() >= 10);
+        session.set_cycle_skipping(false);
+        let at = session.cycle();
+        session.step(&mut trace, &mut policy, &RunLimits::unlimited());
+        assert_eq!(session.cycle(), at + 1, "strict stepping when forced off");
+        // …then reuse the same session's allocations for a full fresh run.
         let mut trace = SliceTrace::new(&uops);
         let reused = session.simulate(&cfg, &mut trace, &mut ToZero, &RunLimits::unlimited());
         let mut trace = SliceTrace::new(&uops);

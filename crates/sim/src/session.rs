@@ -8,16 +8,15 @@
 //! One session can therefore serve an arbitrary stream of heterogeneous
 //! jobs (different machine configurations, steering policies and trace
 //! sources) at a fraction of the per-run setup cost of building a fresh
-//! [`crate::Machine`] each time — the state a 2-cluster machine allocates
+//! session each time — the state a 2-cluster machine allocates
 //! up front (L2 line array, predictor tables, event calendar) is on the
 //! order of a megabyte, all of which a reset simply re-zeroes.
 //!
 //! The contract, enforced by tests here, in `crates/core` and in the
 //! workspace `tests/properties.rs`, is **bit-identical statistics**: a
 //! reused session produces exactly the [`SimStats`] of a fresh
-//! [`crate::Machine::new`] run for every configuration and policy.
-//! [`crate::Machine`] and [`crate::simulate`] are thin per-run views over a
-//! private session.
+//! [`SimSession::new`] run for every configuration and policy.
+//! [`crate::simulate`] is the one-off run over a fresh session.
 //!
 //! Besides reuse, the session is where the simulator's per-cycle hot paths
 //! were removed (ROADMAP "Hot-path profiling"):
@@ -2430,10 +2429,9 @@ impl SimSession {
     }
 
     /// Run from the current state to completion (or until a limit
-    /// triggers), returning the statistics. Resets `policy` first, exactly
-    /// as [`crate::Machine::run`] does. The session is left *dirty*: call
-    /// [`SimSession::reset`] (or [`SimSession::simulate`], which does)
-    /// before the next run.
+    /// triggers), returning the statistics. Resets `policy` first. The
+    /// session is left *dirty*: call [`SimSession::reset`] (or
+    /// [`SimSession::simulate`], which does) before the next run.
     pub fn run(
         &mut self,
         trace: &mut dyn TraceSource,
@@ -2486,7 +2484,7 @@ impl SimSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machine::{simulate, Machine};
+    use crate::machine::simulate;
     use virtclust_uarch::{ArchReg, Region, RegionBuilder, SliceTrace};
 
     /// Round-robin per uop (maximally copy-happy).
@@ -2768,22 +2766,6 @@ mod tests {
         let stats = session.run(&mut trace, &mut RoundRobin(0), &RunLimits::unlimited());
         assert_eq!(stats.committed_uops, uops.len() as u64);
         assert_eq!(session.stop_cause(), None, "drained before any check");
-    }
-
-    #[test]
-    fn machine_is_a_thin_view_over_a_session() {
-        let region = mixed_region();
-        let uops = expand(&region, 40);
-        let cfg = MachineConfig::default();
-        let via_machine = {
-            let mut trace = SliceTrace::new(&uops);
-            Machine::new(&cfg).run(&mut trace, &mut RoundRobin(0), &RunLimits::unlimited())
-        };
-        let via_session = {
-            let mut trace = SliceTrace::new(&uops);
-            SimSession::new(&cfg).run(&mut trace, &mut RoundRobin(0), &RunLimits::unlimited())
-        };
-        assert_eq!(via_machine, via_session);
     }
 
     #[test]

@@ -151,7 +151,7 @@ impl SteeringPolicy for OccupancyAware {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use virtclust_sim::{simulate, Machine, RunLimits};
+    use virtclust_sim::{simulate, RunLimits, SimSession};
     use virtclust_uarch::{ArchReg, MachineConfig, RegionBuilder, SliceTrace};
 
     fn r(i: u8) -> ArchReg {
@@ -179,7 +179,7 @@ mod tests {
     fn run_sec21(policy: &mut dyn SteeringPolicy) -> virtclust_sim::SimStats {
         let uops = sec21_uops();
         let mut trace = SliceTrace::new(&uops);
-        let mut m = Machine::new(&MachineConfig::default());
+        let mut m = SimSession::new(&MachineConfig::default());
         // Initial placements (mirror of the paper's): r1 in cluster 1,
         // r2 and r3 in cluster 0, both clusters idle.
         m.place_register(r(1), 1);
@@ -220,7 +220,7 @@ mod tests {
         let mut uops = Vec::new();
         virtclust_uarch::trace::expand_region(&region, 0, &mut uops, |_, _| 0, |_, _| true);
         let mut trace = SliceTrace::new(&uops);
-        let mut m = Machine::new(&MachineConfig::default());
+        let mut m = SimSession::new(&MachineConfig::default());
         m.place_register(r(1), 1);
         let stats = m.run(
             &mut trace,

@@ -3,7 +3,8 @@
 //! An always-on evaluation service over the batch engine: jobs arrive
 //! through a Unix/TCP socket or an in-process channel *while the worker
 //! pool drains*, instead of as one pre-built `Vec` handed to
-//! [`EvalDriver::run`](virtclust_core::EvalDriver::run) up front.
+//! [`EvalDriver::run_resilient`](virtclust_core::EvalDriver::run_resilient)
+//! up front.
 //!
 //! The pieces, bottom-up:
 //!

@@ -6,7 +6,7 @@
 //! cargo run --release --example sec21_motivation
 //! ```
 
-use virtclust::sim::{Machine, RunLimits};
+use virtclust::sim::{RunLimits, SimSession};
 use virtclust::steer::OccupancyAware;
 use virtclust::uarch::{ArchReg, MachineConfig, RegionBuilder, SliceTrace};
 
@@ -34,7 +34,7 @@ fn main() {
         ),
     ] {
         let mut trace = SliceTrace::new(&uops);
-        let mut machine = Machine::new(&MachineConfig::paper_2cluster());
+        let mut machine = SimSession::new(&MachineConfig::paper_2cluster());
         // Initial placements (mirrored form of the paper's): r1 lives in
         // cluster 1; r2 and r3 live in cluster 0.
         machine.place_register(r(1), 1);

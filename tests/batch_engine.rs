@@ -3,18 +3,22 @@
 //!
 //! 1. a [`SimSession`] reused across runs (mixed machine configurations
 //!    and real Table 3 steering schemes) produces `SimStats` bit-identical
-//!    to fresh `Machine::new` runs;
+//!    to fresh-session runs;
 //! 2. [`EvalDriver`] output is deterministic across 1/2/8 worker threads
 //!    for heterogeneous job queues;
 //! 3. `run_matrix` (now one `EvalDriver` call) stays bit-identical to
 //!    per-cell `run_point`, so every figures/metrics/replay consumer
 //!    migrates unchanged;
 //! 4. batched replay of the committed corpus matches the one-shot
-//!    `replay_trace` path.
+//!    `replay_trace` path and the observed `replay_trace_observed` path.
 
 use std::path::PathBuf;
 
-use virtclust::core::{replay_trace, run_matrix, run_point, Configuration, EvalDriver, EvalJob};
+use virtclust::core::{
+    replay_trace, replay_trace_observed, run_matrix, run_point, CellOutcome, Configuration,
+    EvalDriver, EvalJob, ResilientOptions,
+};
+use virtclust::obs::{MemSink, Shared};
 use virtclust::sim::{RunLimits, SimSession, SimStats};
 use virtclust::uarch::MachineConfig;
 use virtclust::workloads::{spec2000_points, TracePoint};
@@ -30,6 +34,14 @@ fn corpus(file: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("results/traces")
         .join(file)
+}
+
+/// A plain fault-free batch on `threads` workers.
+fn run(machine: &MachineConfig, threads: usize, jobs: &[EvalJob]) -> Vec<CellOutcome> {
+    EvalDriver::new(machine)
+        .threads(threads)
+        .run_resilient(jobs, &ResilientOptions::new(), |_, _| {})
+        .0
 }
 
 #[test]
@@ -87,9 +99,7 @@ fn eval_driver_is_deterministic_across_1_2_8_threads() {
         });
     }
     let stats_of = |threads: usize| -> Vec<SimStats> {
-        EvalDriver::new(&machine)
-            .threads(threads)
-            .run(&jobs)
+        run(&machine, threads, &jobs)
             .into_iter()
             .map(|o| o.stats.expect("corpus is readable"))
             .collect()
@@ -124,27 +134,44 @@ fn run_matrix_through_the_batch_engine_matches_run_point() {
 
 #[test]
 fn batched_corpus_replay_matches_one_shot_replay_trace() {
+    // The three ways to replay a stored trace — one-shot, observed, and a
+    // batch `Trace` job on a cached, rewound reader — share one
+    // preparation path and must agree bit for bit, per Table 3 scheme and
+    // for both codecs.
     let machine = MachineConfig::paper_2cluster();
-    let path = corpus("gzip-1.vct");
-    let jobs: Vec<EvalJob> = Configuration::table3()
-        .into_iter()
-        .map(|config| EvalJob::Trace {
-            path: path.clone(),
-            config,
-            limits: RunLimits::unlimited(),
-        })
-        .collect();
-    // One worker: the five cells share a single parsed, rewound reader.
-    let outcomes = EvalDriver::new(&machine).threads(1).run(&jobs);
-    for (job, outcome) in jobs.iter().zip(&outcomes) {
-        let one_shot =
-            replay_trace(&path, job.config(), &machine, &RunLimits::unlimited()).unwrap();
-        assert_eq!(
-            &one_shot,
-            outcome.stats.as_ref().unwrap(),
-            "{}",
-            job.label(2)
-        );
+    for file in ["gzip-1.vct", "galgel.vctb"] {
+        let path = corpus(file);
+        let jobs: Vec<EvalJob> = Configuration::table3()
+            .into_iter()
+            .map(|config| EvalJob::Trace {
+                path: path.clone(),
+                config,
+                limits: RunLimits::unlimited(),
+            })
+            .collect();
+        // One worker: the five cells share a single parsed, rewound reader.
+        let outcomes = run(&machine, 1, &jobs);
+        for (job, outcome) in jobs.iter().zip(&outcomes) {
+            let one_shot =
+                replay_trace(&path, job.config(), &machine, &RunLimits::unlimited()).unwrap();
+            let sink = Shared::new(MemSink::<SimStats>::new());
+            let observed = replay_trace_observed(
+                &path,
+                job.config(),
+                &machine,
+                &RunLimits::unlimited(),
+                500,
+                Box::new(sink.clone()),
+            )
+            .unwrap();
+            let label = job.label(2);
+            assert_eq!(&one_shot, outcome.stats.as_ref().unwrap(), "{label}");
+            assert_eq!(one_shot, observed, "{label}: observed replay");
+            assert!(
+                sink.with(|s| s.intervals.len()) > 1,
+                "{label}: the observer saw the run"
+            );
+        }
     }
 }
 

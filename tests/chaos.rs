@@ -63,7 +63,8 @@ fn reference() -> &'static Vec<SimStats> {
         let machine = MachineConfig::paper_2cluster();
         EvalDriver::new(&machine)
             .threads(1)
-            .run(&jobs())
+            .run_resilient(&jobs(), &ResilientOptions::new(), |_, _| {})
+            .0
             .into_iter()
             .map(|o| o.stats.expect("fault-free corpus run"))
             .collect()

@@ -10,8 +10,7 @@ use virtclust::compiler::{
 use virtclust::core::Configuration;
 use virtclust::ddg::{Criticality, Ddg};
 use virtclust::sim::{
-    simulate, LoadCheck, Lsq, Machine, RunLimits, SimSession, SteerDecision, SteerView,
-    SteeringPolicy,
+    simulate, LoadCheck, Lsq, RunLimits, SimSession, SteerDecision, SteerView, SteeringPolicy,
 };
 use virtclust::trace::{Codec, TraceReader, TraceWriter};
 use virtclust::uarch::{
@@ -195,7 +194,7 @@ proptest! {
         // One SimSession serves a random sequence of runs with mixed
         // cluster counts (2-/4-/3-cluster machines interleaved) and a
         // rewound trace; every run must be bit-identical to a fresh
-        // `Machine::new` run of the same cell. This is the session-reuse
+        // `simulate` run of the same cell. This is the session-reuse
         // contract the batch engine is built on.
         let uops = expand(&region, iters);
         let mut session = SimSession::new(&MachineConfig::default());
@@ -625,7 +624,7 @@ proptest! {
                     config.name(clusters as u32), clusters
                 );
                 let fresh_strict = {
-                    let mut m = Machine::new(&machine);
+                    let mut m = SimSession::new(&machine);
                     m.set_cycle_skipping(false);
                     let mut trace = SliceTrace::new(&uops);
                     let mut policy = config.make_policy();
